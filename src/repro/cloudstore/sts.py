@@ -10,7 +10,7 @@ enforces those scopes on every request.
 from __future__ import annotations
 
 import enum
-import secrets
+import threading
 from dataclasses import dataclass
 
 from repro.clock import Clock, WallClock
@@ -63,7 +63,9 @@ class StsTokenIssuer:
     In the real system this is the cloud provider; UC is configured (via a
     *storage credential* securable) with the root authority to call it.
     Only holders of the issuer's ``root_secret`` may mint tokens — the
-    catalog keeps that secret, clients never see it.
+    catalog keeps that secret, clients never see it. The secret is
+    created on first use, so a process that never vends pays nothing
+    for the CSPRNG (``secrets`` pulls in OpenSSL).
     """
 
     DEFAULT_TTL_SECONDS = 15 * 60  # "valid for tens of minutes" (paper, 4.3.1)
@@ -74,7 +76,8 @@ class StsTokenIssuer:
         :class:`~repro.resilience.Retrier`) makes :meth:`mint` absorb
         those transients with clock-charged backoff."""
         self._clock = clock or WallClock()
-        self._root_secret = secrets.token_hex(16)
+        self._root_secret: str | None = None
+        self._lock = threading.Lock()
         self._tokens: dict[str, TemporaryCredential] = {}
         self._faults = faults
         self._retrier = retrier
@@ -84,7 +87,12 @@ class StsTokenIssuer:
 
     @property
     def root_secret(self) -> str:
-        return self._root_secret
+        with self._lock:
+            if self._root_secret is None:
+                import secrets
+
+                self._root_secret = secrets.token_hex(16)
+            return self._root_secret
 
     def mint(
         self,
@@ -97,7 +105,7 @@ class StsTokenIssuer:
 
         Minting is an RPC to the cloud provider in production, so it is
         fault-injectable and (when a retrier is attached) retried."""
-        if root_secret != self._root_secret:
+        if root_secret != self.root_secret:
             raise CredentialError("invalid root credential")
         ttl = self.DEFAULT_TTL_SECONDS if ttl_seconds is None else ttl_seconds
         if ttl <= 0:
@@ -109,6 +117,8 @@ class StsTokenIssuer:
     def _mint_once(
         self, scope: StoragePath, level: AccessLevel, ttl: float
     ) -> TemporaryCredential:
+        import secrets
+
         if self._faults is not None:
             self._faults.raise_for("sts.mint", scope)
         credential = TemporaryCredential(

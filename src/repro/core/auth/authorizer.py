@@ -163,7 +163,7 @@ class Authorizer:
         """
         if cache is not None:
             key = (identities, entity.id, "admin")
-            hit = cache.get_decision(key)
+            hit = cache.get_decision(key, view.version)
             if hit is not None:
                 return hit.allowed
         allowed = False
@@ -181,6 +181,7 @@ class Authorizer:
                 identities,
                 frozenset(s.id for s in self._chain(view, entity, cache)),
                 visibility=False,
+                version=view.version,
             )
         return allowed
 
@@ -247,7 +248,7 @@ class Authorizer:
         """Privilege inheritance: a grant on the entity or any ancestor."""
         if cache is not None:
             key = (identities, entity.id, "has:" + privilege.value)
-            hit = cache.get_decision(key)
+            hit = cache.get_decision(key, view.version)
             if hit is not None:
                 return hit.allowed
         allowed = any(
@@ -261,6 +262,7 @@ class Authorizer:
                 identities,
                 frozenset(s.id for s in self._chain(view, entity, cache)),
                 visibility=False,
+                version=view.version,
             )
         return allowed
 
@@ -280,7 +282,7 @@ class Authorizer:
         """
         if cache is not None:
             key = (identities, entity.id, "gates")
-            hit = cache.get_decision(key)
+            hit = cache.get_decision(key, view.version)
             if hit is not None:
                 return hit
         decision = AccessDecision(True, "usage gates satisfied")
@@ -307,6 +309,7 @@ class Authorizer:
                 identities,
                 frozenset(s.id for s in self._chain(view, entity, cache)),
                 visibility=False,
+                version=view.version,
             )
         return decision
 
@@ -323,7 +326,7 @@ class Authorizer:
         """Decide whether ``principal`` may perform ``operation`` on ``entity``."""
         if cache is not None:
             key = (principal, entity.id, operation)
-            hit = cache.get_decision(key)
+            hit = cache.get_decision(key, view.version)
             if hit is not None:
                 return hit
         self.evaluations += 1
@@ -336,6 +339,7 @@ class Authorizer:
                 identities,
                 frozenset(s.id for s in self._chain(view, entity, cache)),
                 visibility=(operation == "read_metadata"),
+                version=view.version,
             )
         return decision
 
@@ -405,7 +409,7 @@ class Authorizer:
         (so containers of accessible assets can be browsed)."""
         if cache is not None:
             key = (identities, entity.id, "visible")
-            hit = cache.get_decision(key)
+            hit = cache.get_decision(key, view.version)
             if hit is not None:
                 return hit.allowed
         allowed = self._visible_uncached(view, entity, identities, cache)
@@ -416,6 +420,7 @@ class Authorizer:
                 identities,
                 frozenset(s.id for s in self._chain(view, entity, cache)),
                 visibility=True,
+                version=view.version,
             )
         return allowed
 
@@ -439,6 +444,27 @@ class Authorizer:
                 if grant.privilege not in _NON_INHERITING_VISIBILITY:
                     return True  # inheritable privileges reveal descendants
         # grants on descendants make the container browsable
+        if cache is not None:
+            holders = cache.subtree_grantees(view).get(entity.id, ())
+            if not identities.isdisjoint(holders):
+                return True
+        elif self._granted_in_subtree(view, entity, identities):
+            return True
+        # ABAC GRANT policies can also make an asset visible
+        for privilege in (Privilege.SELECT, Privilege.READ_VOLUME,
+                          Privilege.EXECUTE, Privilege.BROWSE):
+            if self._abac_granted(view, entity, privilege, identities, cache):
+                return True
+        return False
+
+    def _granted_in_subtree(
+        self,
+        view: MetastoreView,
+        entity: Entity,
+        identities: frozenset[str],
+    ) -> bool:
+        """The uncached reference for the subtree-grantee index: scan
+        every grant and walk its securable up through active ancestors."""
         for key, value in view.rows(Tables.GRANTS):
             self.grant_rows_examined += 1
             if value.get("principal") not in identities:
@@ -450,11 +476,6 @@ class Authorizer:
                 if granted_entity.parent_id is None:
                     break
                 granted_entity = view.entity_by_id(granted_entity.parent_id)
-        # ABAC GRANT policies can also make an asset visible
-        for privilege in (Privilege.SELECT, Privilege.READ_VOLUME,
-                          Privilege.EXECUTE, Privilege.BROWSE):
-            if self._abac_granted(view, entity, privilege, identities, cache):
-                return True
         return False
 
     def filter_visible(
@@ -481,7 +502,7 @@ class Authorizer:
         """All row filters / column masks applying to ``principal`` on a table."""
         if cache is not None:
             key = (principal, table.id, "fgac")
-            hit = cache.get_decision(key)
+            hit = cache.get_decision(key, view.version)
             if hit is not None:
                 return hit
         rules = self._fgac_rules_uncached(view, table, principal, cache)
@@ -492,6 +513,7 @@ class Authorizer:
                 self.identities(principal),
                 frozenset(s.id for s in self._chain(view, table, cache)),
                 visibility=False,
+                version=view.version,
             )
         return rules
 

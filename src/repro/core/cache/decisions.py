@@ -24,13 +24,15 @@ node cache's ``SELECTIVE`` reconcile mode uses):
 
 * a grant/revoke invalidates only decisions whose identity set contains
   the grant's principal **and** whose securable chain contains the
-  granted securable (the touched principal × subtree);
+  granted securable (the touched principal × subtree), and drops the
+  subtree-grantee index (below) whole;
 * an entity change (rename, delete, ownership transfer, spec update)
-  invalidates decisions and resolutions whose chain contains the changed
-  entity — chain membership is exactly "the changed entity is the asset
-  itself or an ancestor", which is the name-prefix rule expressed in ids;
+  invalidates decisions, resolutions and memoized chains whose chain
+  contains the changed entity — chain membership is exactly "the changed
+  entity is the asset itself or an ancestor", which is the name-prefix
+  rule expressed in ids — and drops the subtree-grantee index whole;
 * policy or tag changes wipe all decisions (ABAC can reach anything in
-  scope), but retain resolutions;
+  scope), but retain resolutions, chains and the index;
 * ``commits`` / ``share_bindings`` changes invalidate nothing — they can
   never alter an authorization outcome or a name binding.
 
@@ -38,11 +40,20 @@ Visibility-class decisions (``read_metadata`` / ``visible``) additionally
 drop on *any* entity or matching grant change, because grants anywhere in
 an asset's subtree can make its containers browsable.
 
-A bundle also memoizes the ancestor chain per entity at the pinned
-version, so one batched ``QueryResolver.resolve`` call walks each chain
-at most once. Correctness never depends on any of this: with the fast
-path disabled the service recomputes everything and must produce
-byte-identical results (``python -m repro.bench.hotpath`` proves it).
+A bundle also memoizes, at the pinned version:
+
+* the ancestor chain per entity, so one batched ``QueryResolver.resolve``
+  call walks each chain at most once;
+* the *subtree-grantee index*: securable id -> every principal holding
+  any grant on it or on an active descendant, the answer to visibility's
+  "grants on descendants make the container browsable" step. It is built
+  lazily, at most once per version (a rename, drop or re-parent moves
+  subtrees; a grant or revoke changes holders). It holds principal
+  names, so group-membership changes leave it valid.
+
+Correctness never depends on any of this: with the fast path disabled
+the service recomputes everything and must produce byte-identical
+results (``python -m repro.bench.hotpath`` proves it).
 """
 
 from __future__ import annotations
@@ -89,7 +100,7 @@ class HotPathStats:
 class _DecisionEntry:
     """One cached decision plus the facts needed to invalidate it."""
 
-    __slots__ = ("value", "identities", "chain_ids", "visibility")
+    __slots__ = ("value", "identities", "chain_ids", "visibility", "version")
 
     def __init__(
         self,
@@ -97,11 +108,15 @@ class _DecisionEntry:
         identities: frozenset[str],
         chain_ids: frozenset[str],
         visibility: bool,
+        version: int,
     ):
         self.value = value
         self.identities = identities
         self.chain_ids = chain_ids
         self.visibility = visibility
+        #: the version it was computed at; it holds from there on until
+        #: a change invalidates it
+        self.version = version
 
 
 class AuthDecisionCache:
@@ -119,9 +134,13 @@ class AuthDecisionCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: tuple[Hashable, str, str]) -> Optional["AccessDecision"]:
+    def get(
+        self, key: tuple[Hashable, str, str], version: int
+    ) -> Optional["AccessDecision"]:
         entry = self._entries.get(key)
-        return entry.value if entry is not None else None
+        if entry is None or entry.version > version:
+            return None
+        return entry.value
 
     def put(
         self,
@@ -130,10 +149,13 @@ class AuthDecisionCache:
         identities: frozenset[str],
         chain_ids: frozenset[str],
         visibility: bool,
+        version: int,
     ) -> None:
         if len(self._entries) >= _MAX_ENTRIES:
             self._entries.clear()
-        self._entries[key] = _DecisionEntry(value, identities, chain_ids, visibility)
+        self._entries[key] = _DecisionEntry(
+            value, identities, chain_ids, visibility, version
+        )
 
     def clear(self) -> int:
         dropped = len(self._entries)
@@ -172,11 +194,12 @@ class AuthDecisionCache:
 
 
 class _ResolutionEntry:
-    __slots__ = ("entity", "chain_ids")
+    __slots__ = ("entity", "chain_ids", "version")
 
-    def __init__(self, entity: Entity, chain_ids: frozenset[str]):
+    def __init__(self, entity: Entity, chain_ids: frozenset[str], version: int):
         self.entity = entity
         self.chain_ids = chain_ids
+        self.version = version
 
 
 class ResolutionCache:
@@ -194,15 +217,20 @@ class ResolutionCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, kind: SecurableKind, full_name: str) -> Optional[Entity]:
+    def get(self, kind: SecurableKind, full_name: str,
+            version: int) -> Optional[Entity]:
         entry = self._entries.get((kind, full_name))
-        return entry.entity if entry is not None else None
+        if entry is None or entry.version > version:
+            return None
+        return entry.entity
 
     def put(self, kind: SecurableKind, full_name: str, entity: Entity,
-            chain_ids: frozenset[str]) -> None:
+            chain_ids: frozenset[str], version: int) -> None:
         if len(self._entries) >= _MAX_ENTRIES:
             self._entries.clear()
-        self._entries[(kind, full_name)] = _ResolutionEntry(entity, chain_ids)
+        self._entries[(kind, full_name)] = _ResolutionEntry(
+            entity, chain_ids, version
+        )
 
     def clear(self) -> int:
         dropped = len(self._entries)
@@ -230,6 +258,14 @@ class HotPathCaches:
     snapshot) view opts out of the cache entirely. Decisions additionally
     depend on the principal directory, whose ``generation`` bump clears
     them (group membership changes are not metastore writes).
+
+    Every lookup names the version of the caller's view, because another
+    thread may sync the bundle forward between a caller's ``sync`` and
+    its lookups. Each memo entry remembers the version it was computed
+    at and is served only to views at that version or later (the
+    invalidation replay keeps it true up to the bundle's version). It is
+    stored only while the bundle is still at that version, so a result
+    computed against a superseded view never outlives it.
     """
 
     def __init__(
@@ -246,7 +282,13 @@ class HotPathCaches:
         self._generation = directory_generation()
         self.decisions = AuthDecisionCache()
         self.resolutions = ResolutionCache()
-        self._chains: dict[str, tuple[Entity, ...]] = {}
+        #: entity id -> (version computed at, entity + ancestors)
+        self._chains: dict[str, tuple[int, tuple[Entity, ...]]] = {}
+        #: (version built at, securable id -> principals granted on it or
+        #: a descendant); None until first needed at the current version
+        self._subtree_grantees: Optional[
+            tuple[int, dict[str, frozenset[str]]]
+        ] = None
         self.stats = HotPathStats()
         self._lock = threading.RLock()
 
@@ -308,9 +350,11 @@ class HotPathCaches:
                 frozen_ids, grant_changes
             )
         self.stats.invalidations += self.resolutions.invalidate(frozen_ids)
+        if entity_ids or grant_changes:
+            self._subtree_grantees = None
         if entity_ids:
             dead_chains = [
-                key for key, chain in self._chains.items()
+                key for key, (_, chain) in self._chains.items()
                 if any(link.id in entity_ids for link in chain)
             ]
             for key in dead_chains:
@@ -319,10 +363,10 @@ class HotPathCaches:
     # -- decision cache front ----------------------------------------------
 
     def get_decision(
-        self, key: tuple[Hashable, str, str]
+        self, key: tuple[Hashable, str, str], version: int
     ) -> Optional["AccessDecision"]:
         with self._lock:
-            value = self.decisions.get(key)
+            value = self.decisions.get(key, version)
             if value is not None:
                 self.stats.authz_hits += 1
             else:
@@ -335,16 +379,21 @@ class HotPathCaches:
         value: "AccessDecision",
         identities: frozenset[str],
         chain_ids: frozenset[str],
-        visibility: bool = False,
+        visibility: bool,
+        version: int,
     ) -> None:
         with self._lock:
-            self.decisions.put(key, value, identities, chain_ids, visibility)
+            if version == self.version:
+                self.decisions.put(
+                    key, value, identities, chain_ids, visibility, version
+                )
 
     # -- resolution cache front --------------------------------------------
 
-    def get_resolution(self, kind: SecurableKind, full_name: str) -> Optional[Entity]:
+    def get_resolution(self, kind: SecurableKind, full_name: str,
+                       version: int) -> Optional[Entity]:
         with self._lock:
-            entity = self.resolutions.get(kind, full_name)
+            entity = self.resolutions.get(kind, full_name, version)
             if entity is not None:
                 self.stats.resolution_hits += 1
             else:
@@ -352,22 +401,64 @@ class HotPathCaches:
         return entity
 
     def put_resolution(self, kind: SecurableKind, full_name: str, entity: Entity,
-                       chain_ids: frozenset[str]) -> None:
+                       chain_ids: frozenset[str], version: int) -> None:
         with self._lock:
-            self.resolutions.put(kind, full_name, entity, chain_ids)
+            if version == self.version:
+                self.resolutions.put(kind, full_name, entity, chain_ids, version)
 
     # -- ancestor-chain memo -----------------------------------------------
 
     def chain(self, view: "MetastoreView", entity: Entity) -> tuple[Entity, ...]:
         """Entity followed by its ancestors, walked at most once per
         version (the memo is dropped when any chain member changes)."""
+        version = view.version
         with self._lock:
             memo = self._chains.get(entity.id)
-            if memo is not None:
-                return memo
+        if memo is not None and memo[0] <= version:
+            return memo[1]
         chain = (entity, *view.ancestors(entity))
         with self._lock:
-            if len(self._chains) >= _MAX_ENTRIES:
-                self._chains.clear()
-            self._chains[entity.id] = chain
+            if version == self.version:
+                if len(self._chains) >= _MAX_ENTRIES:
+                    self._chains.clear()
+                self._chains[entity.id] = (version, chain)
         return chain
+
+    # -- subtree-grantee index ---------------------------------------------
+
+    def subtree_grantees(
+        self, view: "MetastoreView"
+    ) -> dict[str, frozenset[str]]:
+        """Securable id -> principals holding any grant on it or on an
+        active descendant, at ``view``'s version (the bundle's own).
+
+        Built on first use with the same active-ancestor walk the
+        uncached visibility scan does, and installed only if the bundle
+        has not moved past ``view`` meanwhile."""
+        version = view.version
+        with self._lock:
+            memo = self._subtree_grantees
+        if memo is not None and memo[0] <= version:
+            return memo[1]
+        index = _build_subtree_grantees(view)
+        with self._lock:
+            if self._subtree_grantees is None and version == self.version:
+                self._subtree_grantees = (version, index)
+        return index
+
+
+def _build_subtree_grantees(view: "MetastoreView") -> dict[str, frozenset[str]]:
+    """Walk each granted securable up to the root once, crediting its
+    grantees to every active entity on the way."""
+    holders: dict[str, set[str]] = {}
+    for _, row in view.rows(Tables.GRANTS):
+        holders.setdefault(row["securable_id"], set()).add(row.get("principal"))
+    index: dict[str, set[str]] = {}
+    for securable_id, principals in holders.items():
+        entity = view.entity_by_id(securable_id)
+        while entity is not None:
+            index.setdefault(entity.id, set()).update(principals)
+            if entity.parent_id is None:
+                break
+            entity = view.entity_by_id(entity.parent_id)
+    return {entity_id: frozenset(p) for entity_id, p in index.items()}

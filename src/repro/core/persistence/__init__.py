@@ -23,8 +23,18 @@ from repro.core.persistence.store import (
     Tables,
 )
 from repro.core.persistence.memory import InMemoryMetadataStore
-from repro.core.persistence.sqlite import SqliteMetadataStore
 from repro.core.persistence.treecat import TreeCatMetadataStore
+
+
+def __getattr__(name):
+    # lazy: importing sqlite3 costs a process that never opens a
+    # database a few MB of resident memory
+    if name == "SqliteMetadataStore":
+        from repro.core.persistence.sqlite import SqliteMetadataStore
+
+        return SqliteMetadataStore
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ChangeRecord",

@@ -152,8 +152,7 @@ class ServiceKernel:
         self._managed_root = StoragePath.parse(managed_root)
         self.object_store.ensure_bucket(self._managed_root.scheme, self._managed_root.bucket)
         self.vendor = CredentialVendor(
-            self.sts, self.clock, managed_root_secret=self.sts.root_secret,
-            rink_cache=rink_cache, obs=self.obs,
+            self.sts, self.clock, rink_cache=rink_cache, obs=self.obs,
         )
         self.enable_fast_path = (
             enable_cache if enable_fast_path is None else enable_fast_path
@@ -562,7 +561,7 @@ class ServiceKernel:
             return root
         cache = self._hot_caches_for(metastore_id, view)
         if cache is not None:
-            hit = cache.get_resolution(kind, name)
+            hit = cache.get_resolution(kind, name, view.version)
             if hit is not None:
                 return hit
         manifest = self.registry.get(kind)
@@ -588,7 +587,8 @@ class ServiceKernel:
             raise NotFoundError(f"no such {kind.value.lower()}: {name}")
         if cache is not None:
             walked.append(entity.id)
-            cache.put_resolution(kind, name, entity, frozenset(walked))
+            cache.put_resolution(kind, name, entity, frozenset(walked),
+                                 view.version)
         return entity
 
     def resolve_name(self, metastore_id: str, kind: SecurableKind, name: str) -> Entity:

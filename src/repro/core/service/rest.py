@@ -21,10 +21,16 @@ Authentication is the upstream gateway's job (paper section 3.4); the
 caller principal arrives as a header. A ``timeout`` query parameter
 (relative seconds) arms the pipeline's request deadline; a request that
 exhausts it maps to HTTP 504.
+
+Malformed input never escapes as a raw exception: an unparsable
+``timeout`` / ``at_version`` or a body missing a field the binding needs
+is answered 400 ``INVALID_PARAMETER_VALUE`` and leaves an
+``allowed=False`` audit record, like any other rejected request.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -175,23 +181,31 @@ class ServiceRouter:
         )
         for binding, descriptor in candidates:
             if binding.when is None or binding.when(request):
-                kwargs = binding.bind(request)
-                if "timeout" in params:
-                    kwargs["_timeout"] = float(params["timeout"])
-                # ?branch=catalog@branch pins the request to a branch;
-                # ?at_version=N pins reads AS OF a past metastore version
-                if "branch" in params:
-                    kwargs["_branch"] = params["branch"]
-                if "at_version" in params:
-                    kwargs["_at_version"] = int(params["at_version"])
-                # ?qos_class=batch requests an explicit priority class
-                if "qos_class" in params:
-                    kwargs["_qos_class"] = params["qos_class"]
+                try:
+                    kwargs = binding.bind(request)
+                    kwargs.update(_reserved_kwargs(params))
+                except KeyError as exc:
+                    raise self._rejected(
+                        descriptor, request,
+                        InvalidRequestError(f"missing {exc.args[0]!r} field"),
+                    ) from None
+                except UnityCatalogError as exc:
+                    raise self._rejected(descriptor, request, exc) from None
                 result = self._service.pipeline.dispatch(descriptor, kwargs)
                 return binding.status, binding.render(result, kwargs)
         raise InvalidRequestError(
             f"no {resource} binding accepts this request shape"
         )
+
+    def _rejected(self, descriptor, request: RestRequest,
+                  error: UnityCatalogError) -> UnityCatalogError:
+        """Audit a request refused before it reached the pipeline (whose
+        audit stage would otherwise record it) and hand back the error."""
+        self._service._audit(
+            "", request.principal, descriptor.name,
+            request.name or f"<{descriptor.name}>", False, error=error.code,
+        )
+        return error
 
     def _metastore_id(self, params: dict, body: dict) -> str:
         metastore = params.get("metastore") or body.get("metastore")
@@ -255,6 +269,37 @@ class ServiceRouter:
                 for h in hits
             ]
         }
+
+
+def _reserved_kwargs(params: dict) -> dict[str, Any]:
+    """The pipeline's reserved kwargs carried as query parameters:
+    ``timeout`` (relative seconds) arms the request deadline,
+    ``branch=catalog@branch`` pins the request to a branch,
+    ``at_version=N`` pins reads AS OF a past metastore version and
+    ``qos_class`` requests an explicit priority class."""
+    kwargs: dict[str, Any] = {}
+    if "timeout" in params:
+        kwargs["_timeout"] = _parse_number(params, "timeout", float)
+    if "branch" in params:
+        kwargs["_branch"] = params["branch"]
+    if "at_version" in params:
+        kwargs["_at_version"] = _parse_number(params, "at_version", int)
+    if "qos_class" in params:
+        kwargs["_qos_class"] = params["qos_class"]
+    return kwargs
+
+
+def _parse_number(params: dict, key: str, parse: type) -> Any:
+    raw = params[key]
+    try:
+        value = parse(raw)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or not math.isfinite(value) or value < 0:
+        raise InvalidRequestError(
+            f"{key} must be a non-negative {parse.__name__}, got {raw!r}"
+        )
+    return value
 
 
 #: Backwards-compatible name: the hand-written router this replaced.

@@ -14,7 +14,6 @@ ownership and forces the stale node to reconcile (section 4.5).
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
@@ -26,6 +25,8 @@ from repro.errors import InvalidRequestError, NotFoundError
 
 
 def _score(node: str, metastore_id: str) -> int:
+    import hashlib
+
     digest = hashlib.sha256(f"{node}:{metastore_id}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

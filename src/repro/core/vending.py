@@ -42,7 +42,6 @@ class CredentialVendor:
         self,
         issuer: StsTokenIssuer,
         clock: Clock,
-        managed_root_secret: str,
         rink_cache: Optional[TtlCache] = None,
         obs=None,
     ):
@@ -52,7 +51,6 @@ class CredentialVendor:
         ``obs`` is the owning service's observability bundle."""
         self._issuer = issuer
         self._clock = clock
-        self._managed_root_secret = managed_root_secret
         self._cache: TtlCache[tuple[str, str], TemporaryCredential] = TtlCache(
             ttl_seconds=self.CACHE_TTL_SECONDS, clock=clock
         )
@@ -121,16 +119,16 @@ class CredentialVendor:
     def _root_secret_for(
         self, view: MetastoreView, entity: Entity, scope: StoragePath
     ) -> str:
-        """Managed assets use the catalog's own root credential; external
-        assets use the storage credential of the covering external
-        location."""
+        """Managed assets use the catalog's own root credential (the
+        issuer's root secret); external assets use the storage credential
+        of the covering external location."""
         if self._is_managed(entity):
-            return self._managed_root_secret
+            return self._issuer.root_secret
         location = self._covering_location(view, scope)
         if location is None:
             # fall back to the catalog root (external asset registered
             # before locations existed — still catalog-governed storage)
-            return self._managed_root_secret
+            return self._issuer.root_secret
         credential_name = location.spec.get("credential_name")
         credential_entity = view.entity_by_name(
             location.parent_id, "storage_credential", credential_name

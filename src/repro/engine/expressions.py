@@ -27,7 +27,6 @@ Builtins: ``current_user()``, ``is_account_group_member('g')``,
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -278,6 +277,8 @@ class InList(Expr):
 
 
 def _mask_hash(value: Any) -> str:
+    import hashlib
+
     return hashlib.sha256(str(value).encode()).hexdigest()[:12]
 
 

@@ -161,6 +161,52 @@ class TestRestApi:
         assert status == 400
 
 
+class TestMalformedInput:
+    """Malformed input is answered with a typed 400 and leaves an audit
+    record; nothing escapes the router as a raw exception."""
+
+    def _assert_audited_400(self, service, before, body, action, securable):
+        assert body["error_code"] == "INVALID_PARAMETER_VALUE"
+        assert len(service.audit) == before + 1
+        record = service.audit.tail(1)[0]
+        assert (record.principal, record.action, record.securable,
+                record.allowed, record.details) == (
+            "alice", action, securable, False,
+            {"error": "INVALID_PARAMETER_VALUE"})
+
+    @pytest.mark.parametrize("params", [
+        {"timeout": "abc"},
+        {"at_version": ""},
+    ])
+    def test_unparsable_reserved_param(self, api, service, mid, params):
+        before = len(service.audit)
+        status, body = api.handle(
+            "GET", f"{BASE}/tables/{TABLE}", principal="alice",
+            params={"metastore": "main", **params},
+        )
+        assert status == 400
+        self._assert_audited_400(service, before, body, "get_securable", TABLE)
+
+    def test_create_metastore_without_name(self, api, service):
+        before = len(service.audit)
+        status, body = api.handle(
+            "POST", f"{BASE}/metastores", principal="alice", body={},
+        )
+        assert status == 400
+        assert "name" in body["message"]
+        self._assert_audited_400(service, before, body, "create_metastore",
+                                 "<create_metastore>")
+
+    def test_well_formed_reserved_params_still_apply(self, api, service, mid):
+        version = service.store.current_version(mid)
+        status, _ = api.handle(
+            "GET", f"{BASE}/tables/{TABLE}", principal="alice",
+            params={"metastore": "main", "timeout": "5",
+                    "at_version": str(version)},
+        )
+        assert status == 200
+
+
 class TestDiscoveryRoutes:
     def test_information_schema_route(self, api, mid):
         status, body = api.handle(
